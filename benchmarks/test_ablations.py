@@ -114,7 +114,8 @@ def test_ablation_reward_scaling(benchmark):
     from repro.rl.normalization import RewardScaler
 
     scaler = RewardScaler()
-    benchmark(scaler, -7.5)
+    benchmark(scaler.scale_batch, np.array([-7.5]), np.array([False]),
+              np.zeros(1, dtype=np.intp))
 
 
 def test_ablation_ppo_vs_a2c_vs_ddpg(benchmark):

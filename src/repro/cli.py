@@ -226,10 +226,9 @@ def cmd_train(args) -> int:
         supervise=args.supervise,
         max_restarts=args.max_restarts,
     )
-    if config.use_vectorized:
-        env, env_spec = None, build_env_spec(preset, seed=args.seed)
-    else:
-        env, env_spec = build_env(preset, seed=args.seed), None
+    # One env trains on build_env's own env; more envs (or workers) are
+    # rebuilt from the spec.
+    env, env_spec = build_env(preset, seed=args.seed), build_env_spec(preset, seed=args.seed)
     with _telemetry_scope(
         args, "train", config={"preset": preset, "trainer": config}
     ) as telemetry:
@@ -834,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None,
                    help="resume training from a checkpoint .npz")
     p.add_argument("--num-envs", type=int, default=1,
-                   help="parallel envs per rollout batch (1 = serial loop)")
+                   help="envs per rollout batch, stepped in lockstep")
     p.add_argument("--workers", type=int, default=0,
                    help="subprocess env workers (0 = in-process envs)")
     p.add_argument("--episode-length", type=int, default=None,

@@ -6,18 +6,26 @@ Mapping from the paper's pseudocode to this implementation:
 * line 2  (load network dataset)     -> the env's trace-driven system
 * line 3  (replay buffer D, device info) -> agent buffer / DeviceFleet
 * line 4  (theta_a_old <- theta_a)   -> agent.actor_old sync
-* line 6  (random start time t^1)    -> env.reset() with random_start
+* line 5  (for each episode)         -> :meth:`OfflineTrainer.train`
+* line 6  (random start time t^1)    -> ``venv.reset()`` with random_start
 * lines 7-10 (initial state s_1)     -> FLSystem.bandwidth_state()
-* line 12 (sample action from theta_a_old) -> agent.act()
-* line 13 (devices train at delta)   -> env.step()
-* line 14 (reward, Eq. 13)           -> IterationResult.reward
-* lines 16-23 (buffer-full update: M PPO epochs, critic regression on
-  r + gamma V(s'), re-sync theta_old, clear D) -> agent.observe()
+* lines 11-23 (the step loop), in
+  :meth:`repro.parallel.VecRolloutCollector.run_episode_batch`:
+
+  - line 12 (sample action from theta_a_old) -> ``agent.act_batch``
+  - line 13 (devices train at delta)   -> ``venv.step``
+  - line 14 (reward, Eq. 13)           -> IterationResult.reward
+  - lines 15-23 (store in D; when full: M PPO epochs, critic
+    regression on r + gamma V(s'), re-sync theta_old, clear D)
+    -> ``agent.observe_batch``
+
+Every run goes through that one loop: a single env (the default) is a
+one-env :class:`repro.parallel.SerialVecEnv` around the trainer's own
+env object.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,14 +87,11 @@ class TrainerConfig:
     checkpoint_keep: int = 1
     #: Parallel rollout collection (repro.parallel).  ``num_envs`` envs
     #: step in lockstep through one stacked policy forward pass;
-    #: ``workers > 0`` shards them over subprocesses.  The default
-    #: (1 env, 0 workers, vectorize unset) is the serial Algorithm-1
-    #: loop, byte-for-byte.
+    #: ``workers > 0`` shards them over subprocesses.  Either needs
+    #: ``OfflineTrainer(env_spec=...)``; the default (1 env, 0 workers)
+    #: steps the trainer's own env in process.
     num_envs: int = 1
     workers: int = 0
-    #: Force the vectorized collector on/off; None = automatic
-    #: (vectorized iff ``num_envs > 1`` or ``workers > 0``).
-    vectorize: Optional[bool] = None
     #: Self-healing workers (repro.resilience): crashed/hung subprocess
     #: workers are respawned, resynced and the in-flight step replayed
     #: instead of aborting the run.  Requires ``workers > 0``.
@@ -118,24 +123,13 @@ class TrainerConfig:
             raise ValueError("num_envs cannot exceed buffer_size")
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
-        if self.vectorize is False and (self.num_envs > 1 or self.workers > 0):
-            raise ValueError(
-                "vectorize=False contradicts num_envs > 1 / workers > 0"
-            )
-        if self.use_vectorized and self.algorithm == "ddpg":
+        if self.algorithm == "ddpg" and (self.num_envs > 1 or self.workers > 0):
             raise ValueError(
                 "vectorized collection supports ppo/a2c only, not ddpg "
                 "(its replay memory is inherently sequential here)"
             )
         self.ppo.validate()
         return self
-
-    @property
-    def use_vectorized(self) -> bool:
-        """Whether training goes through the repro.parallel collector."""
-        if self.vectorize is not None:
-            return bool(self.vectorize)
-        return self.num_envs > 1 or self.workers > 0
 
 
 class OfflineTrainer:
@@ -151,7 +145,7 @@ class OfflineTrainer:
         self.config = (config or TrainerConfig()).validate()
         if env is None and env_spec is None:
             raise ValueError("OfflineTrainer needs an env or an env_spec")
-        if self.config.use_vectorized and env_spec is None:
+        if self._spec_built and env_spec is None:
             raise ValueError(
                 "vectorized training (num_envs > 1 / workers > 0) requires "
                 "env_spec — workers rebuild envs from its picklable recipe"
@@ -159,12 +153,12 @@ class OfflineTrainer:
         #: Picklable recipe for (re)building envs in vec workers.
         self.env_spec = env_spec
         if env is None:
-            # Template env: provides dims for network construction, and
-            # *is* env 0 of the serial (non-vectorized) path.
             env = env_spec.build(0)
+        #: Provides dims for network construction, and *is* env 0 when
+        #: training steps one env in process.
         self.env = env
-        #: Live vectorized env while _train_vectorized runs (checkpoints
-        #: read its per-env RNG streams).
+        #: Live vectorized env while train() runs (checkpoints read its
+        #: per-env RNG streams).
         self._vec_env = None
         #: RNG streams restored by resume() before the vec env exists.
         self._pending_vec_rng = None
@@ -196,7 +190,7 @@ class OfflineTrainer:
             act_dim=env.act_dim,
             hidden=tuple(self.config.hidden),
             buffer_size=self.config.buffer_size,
-            n_envs=self.config.num_envs if self.config.use_vectorized else 1,
+            n_envs=self.config.num_envs,
             normalize_obs=self.config.normalize_obs,
             scale_rewards=self.config.scale_rewards,
             init_log_std=self.config.init_log_std,
@@ -207,143 +201,52 @@ class OfflineTrainer:
         self.agent = PPOAgent(agent_config, rng=rng)
         self.history = TrainingHistory()
 
-    def run_episode(self) -> dict:
-        """One training episode: lines 6-24 of Algorithm 1."""
-        env = self.env
-        san = _sanitizer.ACTIVE
-        if san is not None:
-            san.note_episode(self._episode)
-        tel = get_telemetry()
-        instrumented = tel.enabled
-        t_episode = time.perf_counter() if instrumented else 0.0
-        env_s = 0.0
-        obs = env.reset()
-        costs, rewards, times, energies = [], [], [], []
-        done = False
-        while not done:
-            action, log_prob, value = self.agent.act(obs)
-            if instrumented:
-                t0 = time.perf_counter()
-                step = env.step(action)
-                env_s += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                stats = self.agent.observe(
-                    obs, action, step.reward, step.observation,
-                    step.done, log_prob, value,
-                )
-                if stats is not None:
-                    tel.on_update(
-                        stats,
-                        self.config.algorithm,
-                        wall_s=time.perf_counter() - t0,
-                        episode=self._episode,
-                    )
-            else:
-                step = env.step(action)
-                stats = self.agent.observe(
-                    obs, action, step.reward, step.observation,
-                    step.done, log_prob, value,
-                )
-            if stats is not None:
-                self.history.record_update(stats)
-            costs.append(step.info["cost"])
-            rewards.append(step.reward)
-            times.append(step.info["iteration_time_s"])
-            energies.append(step.info["total_energy"])
-            obs = step.observation
-            done = step.done
-        summary = {
-            "avg_cost": float(np.mean(costs)),
-            "avg_reward": float(np.mean(rewards)),
-            "avg_time_s": float(np.mean(times)),
-            "avg_energy": float(np.mean(energies)),
-            "episode_len": len(costs),
-        }
-        self.history.record_episode(
-            summary["avg_cost"], summary["avg_reward"],
-            summary["avg_time_s"], summary["avg_energy"],
-        )
-        if instrumented:
-            tel.event(
-                "episode",
-                index=self._episode,
-                wall_s=time.perf_counter() - t_episode,
-                env_s=env_s,
-                **summary,
-            )
-        return summary
+    @property
+    def _spec_built(self) -> bool:
+        """Whether train() builds its envs from ``env_spec``."""
+        return self.config.num_envs > 1 or self.config.workers > 0
 
-    def train(self, progress_callback=None, stop=None) -> TrainingHistory:
-        """Run the full offline training (the ``for episode`` loop).
-
-        Starts from :attr:`_episode` (0 on a fresh trainer, the stored
-        episode after :meth:`resume`), so a killed run picks up exactly
-        where its last checkpoint left off.
-
-        ``stop`` is an optional zero-argument predicate checked after
-        every episode (batch); when it returns true — e.g. a
-        :class:`repro.resilience.GracefulDrain` armed by SIGTERM — the
-        trainer finishes the in-flight episode, writes a final
-        checkpoint (if a checkpoint path is configured), sets
-        :attr:`drained` and returns.
-        """
-        cfg = self.config
-        self.drained = False
-        if cfg.use_vectorized:
-            return self._train_vectorized(progress_callback, stop)
-        for episode in range(self._episode, cfg.n_episodes):
-            self.agent.updater.set_progress(episode / max(cfg.n_episodes - 1, 1))
-            summary = self.run_episode()
-            self._episode = episode + 1
-            if (
-                cfg.checkpoint_every > 0
-                and self._episode % cfg.checkpoint_every == 0
-            ):
-                self.save_checkpoint(cfg.checkpoint_path)
-            if progress_callback is not None:
-                progress_callback(episode, summary)
-            if stop is not None and stop():
-                self._drain()
-                break
-            if (
-                cfg.early_stop_window > 0
-                and self.history.converged(
-                    window=cfg.early_stop_window, rel_tol=cfg.early_stop_rel_tol
-                )
-            ):
-                break
-        self.agent.freeze()
-        return self.history
-
-    def _drain(self) -> None:
-        """Cooperative stop: persist a resumable final checkpoint."""
-        self.drained = True
-        if self.config.checkpoint_path:
-            self.save_checkpoint(self.config.checkpoint_path)
-
-    def _train_vectorized(self, progress_callback=None, stop=None) -> TrainingHistory:
-        """Training over a vectorized env (episode batches of num_envs).
-
-        Episodes advance ``num_envs`` at a time; checkpoints land only at
-        batch boundaries, so resuming needs just the agent/optimizer
-        state, the partially-filled buffer and every per-env RNG stream
-        (captured as ``rng/venv{i}``) — no mid-episode simulator state.
-        With one env this loop consumes identical RNG/normalizer streams
-        to the serial path above.
-        """
-        from repro.parallel import VecRolloutCollector, make_vec_env
+    def _make_vec_env(self):
+        from repro.parallel import SerialVecEnv, make_vec_env
 
         cfg = self.config
-        n = cfg.num_envs
+        if not self._spec_built:
+            return SerialVecEnv.from_envs([self.env])
         supervisor = None
         if cfg.supervise:
             from repro.resilience.supervisor import SupervisorConfig
 
             supervisor = SupervisorConfig(max_restarts=cfg.max_restarts)
-        with make_vec_env(
-            self.env_spec, n, workers=cfg.workers,
+        return make_vec_env(
+            self.env_spec, cfg.num_envs, workers=cfg.workers,
             supervise=cfg.supervise, supervisor=supervisor,
-        ) as venv:
+        )
+
+    def train(self, progress_callback=None, stop=None) -> TrainingHistory:
+        """Run the full offline training (the ``for episode`` loop).
+
+        Episodes advance ``num_envs`` at a time, one
+        :meth:`~repro.parallel.VecRolloutCollector.run_episode_batch`
+        each.  Starts from :attr:`_episode` (0 on a fresh trainer, the
+        stored episode after :meth:`resume`), so a killed run picks up
+        exactly where its last checkpoint left off.  Checkpoints land
+        only at batch boundaries, so resuming needs just the
+        agent/optimizer state, the partially-filled buffer and every RNG
+        stream — no mid-episode simulator state.
+
+        ``stop`` is an optional zero-argument predicate checked after
+        every episode batch; when it returns true — e.g. a
+        :class:`repro.resilience.GracefulDrain` armed by SIGTERM — the
+        trainer finishes the in-flight batch, writes a final checkpoint
+        (if a checkpoint path is configured), sets :attr:`drained` and
+        returns.
+        """
+        from repro.parallel import VecRolloutCollector
+
+        cfg = self.config
+        n = cfg.num_envs
+        self.drained = False
+        with self._make_vec_env() as venv:
             self._vec_env = venv
             try:
                 if self._pending_vec_rng is not None:
@@ -387,6 +290,12 @@ class OfflineTrainer:
                 self._vec_env = None
         self.agent.freeze()
         return self.history
+
+    def _drain(self) -> None:
+        """Cooperative stop: persist a resumable final checkpoint."""
+        self.drained = True
+        if self.config.checkpoint_path:
+            self.save_checkpoint(self.config.checkpoint_path)
 
     def save_agent(self, path: str) -> None:
         self.agent.save(path)
@@ -438,8 +347,8 @@ class OfflineTrainer:
                 state[f"replay/{key}"] = getattr(mem, key)
         for name, gen in self._rng_streams().items():
             state[f"rng/{name}"] = pack_rng_state(gen)
-        # Vectorized runs: each env's stream lives in a (possibly remote)
-        # worker; capture them all so resume replays bit-exactly.
+        # Each env's stream lives in the vec env (possibly in a remote
+        # worker); capture them all so resume replays bit-exactly.
         if self._vec_env is not None:
             from repro.utils.serialization import pack_state_dict
 

@@ -61,18 +61,17 @@ def run_fig6(
 ) -> Fig6Result:
     """Train the DRL agent and return the convergence curves.
 
-    ``num_envs``/``workers`` route training through the vectorized
-    collector (repro.parallel); the defaults keep the serial loop.
+    ``num_envs``/``workers`` step several envs in lockstep (repro.parallel);
+    the defaults train on one env.
     """
     config = trainer_config or TrainerConfig(n_episodes=n_episodes)
     config.n_episodes = n_episodes
     if num_envs != 1 or workers != 0:
         config.num_envs = num_envs
         config.workers = workers
-    if config.use_vectorized:
-        env_spec = build_env_spec(preset, seed=int(seed))
-        trainer = OfflineTrainer(config=config, rng=seed, env_spec=env_spec)
-    else:
-        trainer = OfflineTrainer(build_env(preset, seed=seed), config, rng=seed)
+    trainer = OfflineTrainer(
+        build_env(preset, seed=seed), config, rng=seed,
+        env_spec=build_env_spec(preset, seed=int(seed)),
+    )
     history = trainer.train()
     return Fig6Result(history=history, trainer=trainer)

@@ -102,13 +102,24 @@ class SerialVecEnv(VecEnv):
     """All envs live in the calling process (no IPC, no extra processes)."""
 
     def __init__(self, spec: EnvSpec, n_envs: int):
-        if n_envs <= 0:
-            raise ValueError("n_envs must be positive")
         self.spec = spec
-        self.n_envs = int(n_envs)
-        self.envs = [spec.build(i) for i in range(self.n_envs)]
-        self._obs_dim = self.envs[0].obs_dim
-        self._act_dim = self.envs[0].act_dim
+        self._adopt([spec.build(i) for i in range(int(n_envs))])
+
+    @classmethod
+    def from_envs(cls, envs: Sequence) -> "SerialVecEnv":
+        """Step already-built envs as they are: no spec, no reseeding."""
+        venv = cls.__new__(cls)
+        venv.spec = None
+        venv._adopt(list(envs))
+        return venv
+
+    def _adopt(self, envs: list) -> None:
+        if not envs:
+            raise ValueError("n_envs must be positive")
+        self.envs = envs
+        self.n_envs = len(envs)
+        self._obs_dim = envs[0].obs_dim
+        self._act_dim = envs[0].act_dim
         self._closed = False
 
     def reset(self) -> np.ndarray:
@@ -117,12 +128,13 @@ class SerialVecEnv(VecEnv):
     def step(self, actions, active=None):
         actions, active = self._check_actions(actions, active)
         obs, rewards, dones, infos = self._empty_step()
-        for i in np.flatnonzero(active):
-            result = self.envs[i].step(actions[i])
-            obs[i] = result.observation
-            rewards[i] = result.reward
-            dones[i] = result.done
-            infos[i] = result.info
+        for i, (env, on) in enumerate(zip(self.envs, active.tolist())):
+            if on:
+                result = env.step(actions[i])
+                obs[i] = result.observation
+                rewards[i] = result.reward
+                dones[i] = result.done
+                infos[i] = result.info
         return obs, rewards, dones, infos
 
     def get_rng_states(self) -> List[dict]:

@@ -16,7 +16,6 @@ from repro.rl.guards import (
 from repro.rl.gae import (
     compute_gae,
     compute_gae_reference,
-    compute_returns,
     td_targets,
 )
 from repro.rl.normalization import ObservationNormalizer, RewardScaler
@@ -34,7 +33,6 @@ __all__ = [
     "RolloutBuffer",
     "compute_gae",
     "compute_gae_reference",
-    "compute_returns",
     "td_targets",
     "ObservationNormalizer",
     "RewardScaler",

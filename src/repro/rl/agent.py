@@ -32,8 +32,8 @@ class AgentConfig:
     activation: str = "tanh"
     init_log_std: float = -0.5
     buffer_size: int = 256        # |D| of Algorithm 1
-    #: Number of parallel envs feeding the buffer (vectorized
-    #: collection); 1 reproduces the serial Algorithm-1 loop exactly.
+    #: Number of envs the rollout collector steps in lockstep, each
+    #: feeding its own rows (and reward-return chain) into the buffer.
     n_envs: int = 1
     normalize_obs: bool = True
     scale_rewards: bool = True
@@ -68,20 +68,56 @@ class AgentConfig:
         return self
 
 
-class PPOAgent:
+#: Env id of a lone transition (the one-row batch of :meth:`observe`).
+_ENV0 = np.zeros(1, dtype=np.intp)
+_ENV0.setflags(write=False)
+
+
+class SingleTransitionMixin:
+    """``act`` / ``observe`` on one transition, as one-row batch calls.
+
+    The batch methods are the agent's only implementation; these keep
+    the single-transition surface (online adaptation, interactive use)
+    on exactly the same arithmetic and RNG streams.
+    """
+
+    def act(self, obs: np.ndarray) -> Tuple[np.ndarray, float, float]:
+        """Sample one action; returns ``(action, log_prob, value)``."""
+        actions, log_probs, values = self.act_batch(
+            np.asarray(obs, dtype=np.float64)[None]
+        )
+        return actions[0], float(log_probs[0]), float(values[0])
+
+    def observe(
+        self, obs, action, reward, next_obs, done, log_prob=0.0, value=0.0
+    ) -> Optional[UpdateStats]:
+        """Store one transition of env 0 (see ``observe_batch``)."""
+        return self.observe_batch(
+            _ENV0,
+            np.asarray(obs, dtype=np.float64)[None],
+            np.asarray(action, dtype=np.float64)[None],
+            np.array([reward], dtype=np.float64),
+            np.asarray(next_obs, dtype=np.float64)[None],
+            np.array([done], dtype=bool),
+            np.array([log_prob], dtype=np.float64),
+            np.array([value], dtype=np.float64),
+        )
+
+
+class PPOAgent(SingleTransitionMixin):
     """Actor-critic PPO agent with Algorithm-1 semantics.
 
-    Usage during offline training::
+    Offline training drives it through
+    :class:`repro.parallel.VecRolloutCollector`, one row per env::
 
-        agent = PPOAgent(config, rng=0)
-        obs = env.reset()
-        while training:
-            action, logp, value = agent.act(obs)
-            next_obs, reward, done, info = env.step(action)
-            stats = agent.observe(obs, action, reward, next_obs, done, logp, value)
-            obs = next_obs            # stats is not None when an update ran
+        actions, log_probs, values = agent.act_batch(obs)      # (N, obs_dim)
+        next_obs, rewards, dones, infos = venv.step(actions)
+        stats = agent.observe_batch(env_ids, obs, actions, rewards,
+                                    next_obs, dones, log_probs, values)
 
-    and during online reasoning::
+    (``stats`` is not None when an update ran); :meth:`act` /
+    :meth:`observe` are the same calls on a single transition, and
+    during online reasoning::
 
         action = agent.policy_action(obs)   # deterministic, actor-only
     """
@@ -146,30 +182,20 @@ class PPOAgent:
                 config.obs_dim, enabled=config.normalize_obs
             )
         self.reward_scaler = RewardScaler(
-            gamma=config.ppo.gamma, enabled=config.scale_rewards
+            gamma=config.ppo.gamma, enabled=config.scale_rewards, n_envs=config.n_envs
         )
         self._sample_rng = sample_rng
         self.total_steps = 0
         self.total_updates = 0
 
     # -- acting ------------------------------------------------------------
-    def act(self, obs: np.ndarray) -> Tuple[np.ndarray, float, float]:
-        """Sample an action from ``theta_a_old``; returns (a, logp, value)."""
-        norm_obs = self.obs_norm(obs)
-        action, log_prob = self.actor_old.act(norm_obs, rng=self._sample_rng)
-        value = float(self.critic.value(norm_obs)[0])
-        return action, log_prob, value
-
     def act_batch(self, obs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sample actions for a stacked ``(N, obs_dim)`` observation batch.
+        """Sample actions from ``theta_a_old`` for ``(N, obs_dim)`` states.
 
         One forward pass serves all N envs; returns ``(actions (N, A),
-        log_probs (N,), values (N,))``.  With ``N == 1`` the normalizer
-        update, the Gaussian draw and the critic call consume exactly the
-        same RNG/moment stream as :meth:`act`, so a one-env vectorized
-        rollout is bit-identical to the serial loop.
+        log_probs (N,), values (N,))``.
         """
-        norm_obs = self.obs_norm(np.atleast_2d(np.asarray(obs, dtype=np.float64)))
+        norm_obs = self.obs_norm(obs)
         dist = self.actor_old.distribution(norm_obs)
         actions = dist.sample(self._sample_rng)
         log_probs = dist.log_prob(actions)
@@ -199,35 +225,6 @@ class PPOAgent:
         return self.actor.mean_infer(norm_obs)
 
     # -- learning ----------------------------------------------------------
-    def observe(
-        self,
-        obs: np.ndarray,
-        action: np.ndarray,
-        reward: float,
-        next_obs: np.ndarray,
-        done: bool,
-        log_prob: float,
-        value: float,
-    ) -> Optional[UpdateStats]:
-        """Store a transition; run the PPO update when the buffer fills.
-
-        The observation stored is the *normalized* one the policy saw.
-        Returns the update statistics when an update ran, else ``None``.
-        """
-        norm_obs = self.obs_norm.normalize_frozen(obs)
-        norm_next = self.obs_norm(next_obs)
-        scaled_reward = self.reward_scaler(reward, done)
-        self.buffer.add(norm_obs, action, scaled_reward, norm_next, done, log_prob, value)
-        self.total_steps += 1
-        if not self.buffer.full:
-            return None
-        last_value = 0.0 if done else float(self.critic.value(norm_next)[0])
-        stats = self.updater.update(self.buffer, last_value=last_value)
-        self.actor_old.copy_weights_from(self.actor)   # line 22
-        self.buffer.clear()                             # line 23
-        self.total_updates += 1
-        return stats
-
     def observe_batch(
         self,
         env_ids: np.ndarray,
@@ -241,31 +238,28 @@ class PPOAgent:
     ) -> Optional[UpdateStats]:
         """Store one transition per active env; update when the buffer fills.
 
-        The vectorized counterpart of :meth:`observe`: rows arrive in
-        env-index order from the synchronous collector.  When the buffer
-        holds several envs' trajectories the updater bootstraps each
-        env's tail itself (see ``grouped_bootstrap_values``), so no
-        scalar ``last_value`` is needed.
+        Rows arrive in env-index order from the synchronous collector.
+        The observation stored is the *normalized* one the policy saw.
+        When the buffer holds several envs' trajectories the updater
+        bootstraps each env's tail itself (see
+        ``grouped_bootstrap_values``), so no scalar ``last_value`` is
+        needed.  Returns the update statistics when an update ran, else
+        ``None``.
         """
-        env_ids = np.asarray(env_ids, dtype=np.intp).ravel()
-        norm_obs = self.obs_norm.normalize_frozen(
-            np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        )
-        norm_next = self.obs_norm(
-            np.atleast_2d(np.asarray(next_obs, dtype=np.float64))
-        )
+        norm_obs = self.obs_norm.normalize_frozen(obs)
+        norm_next = self.obs_norm(next_obs)
         scaled = self.reward_scaler.scale_batch(rewards, dones, env_ids)
         self.buffer.add_batch(
             env_ids, norm_obs, actions, scaled, norm_next, dones, log_probs, values
         )
-        self.total_steps += env_ids.size
+        self.total_steps += len(env_ids)
         if not self.buffer.full:
             return None
-        if self.buffer.n_envs > 1:
-            last_value = 0.0  # ignored: the updater derives per-env bootstraps
+        if self.buffer.n_envs > 1 or dones[-1]:
+            # Terminal, or ignored: a multi-env updater bootstraps per env.
+            last_value = 0.0
         else:
-            done = bool(np.asarray(dones).ravel()[-1])
-            last_value = 0.0 if done else float(self.critic.value(norm_next)[-1])
+            last_value = float(self.critic.value(norm_next)[-1])
         stats = self.updater.update(self.buffer, last_value=last_value)
         self.actor_old.copy_weights_from(self.actor)   # line 22
         self.buffer.clear()                             # line 23

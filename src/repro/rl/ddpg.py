@@ -27,6 +27,7 @@ import numpy as np
 from repro.nn.losses import mse_loss
 from repro.nn.modules import MLP
 from repro.nn.optim import Adam, clip_grad_norm
+from repro.rl.agent import SingleTransitionMixin
 from repro.rl.normalization import ObservationNormalizer, RewardScaler
 from repro.rl.ppo import UpdateStats
 from repro.rl.replay import ReplayMemory
@@ -75,12 +76,13 @@ def _polyak(target: MLP, online: MLP, tau: float) -> None:
         pt.data += tau * po.data
 
 
-class DDPGAgent:
+class DDPGAgent(SingleTransitionMixin):
     """DDPG with the same act/observe surface as :class:`PPOAgent`.
 
-    ``act`` returns ``(action, 0.0, 0.0)`` — log-prob and value have no
-    meaning for a deterministic policy but the trainer plumbing expects
-    the triple.
+    ``act_batch`` returns zero log-probs and values — they have no
+    meaning for a deterministic policy but the collector plumbing
+    expects the triple.  Collection is single-env: the replay memory is
+    filled one transition at a time.
     """
 
     def __init__(self, config: DDPGConfig, rng: SeedLike = None):
@@ -117,24 +119,28 @@ class DDPGAgent:
         return c.exploration_std + frac * (c.exploration_decay_to - c.exploration_std)
 
     # -- PPOAgent-compatible surface -----------------------------------------
-    def act(self, obs: np.ndarray) -> Tuple[np.ndarray, float, float]:
+    def act_batch(self, obs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         norm = self.obs_norm(obs)
-        action = self.actor.forward(np.atleast_2d(norm))[0]
-        noise = self._rng.standard_normal(action.shape) * self._noise_std()
-        return np.clip(action + noise, -1.0, 1.0), 0.0, 0.0
+        actions = self.actor.forward(norm)
+        noise = self._rng.standard_normal(actions.shape) * self._noise_std()
+        zeros = np.zeros(actions.shape[0])
+        return np.clip(actions + noise, -1.0, 1.0), zeros, zeros
 
     def policy_action(self, obs: np.ndarray) -> np.ndarray:
         norm = self.obs_norm.normalize_frozen(obs)
         return self.actor.forward(np.atleast_2d(norm))[0]
 
-    def observe(
-        self, obs, action, reward, next_obs, done, log_prob=0.0, value=0.0
+    def observe_batch(
+        self, env_ids, obs, actions, rewards, next_obs, dones,
+        log_probs=None, values=None,
     ) -> Optional[UpdateStats]:
+        if len(env_ids) != 1:
+            raise ValueError("DDPGAgent collects one transition at a time")
         c = self.config
         norm_obs = self.obs_norm.normalize_frozen(obs)
         norm_next = self.obs_norm(next_obs)
-        scaled = self.reward_scaler(reward, done)
-        self.memory.add(norm_obs, action, scaled, norm_next, done)
+        scaled = self.reward_scaler.scale_batch(rewards, dones, env_ids)
+        self.memory.add(norm_obs[0], actions[0], scaled[0], norm_next[0], dones[0])
         self.total_steps += 1
         if len(self.memory) < c.warmup_steps:
             return None

@@ -139,28 +139,6 @@ def compute_gae_grouped(
     return advantages, returns
 
 
-def compute_returns(
-    rewards, dones, last_value: float, gamma: float = 0.99
-) -> np.ndarray:
-    """Discounted reward-to-go with bootstrap (no baseline)."""
-    rewards = np.asarray(rewards, dtype=np.float64).ravel()
-    dones = np.asarray(dones, dtype=bool).ravel()
-    if rewards.shape != dones.shape:
-        raise ValueError("rewards and dones must share shape")
-    n = rewards.size
-    # Native-float reverse scan; same rationale as compute_gae.
-    r = rewards.tolist()
-    d = dones.tolist()
-    returns = np.empty(n, dtype=np.float64)
-    running = float(last_value)
-    for t in range(n - 1, -1, -1):
-        if d[t]:
-            running = 0.0
-        running = r[t] + gamma * running
-        returns[t] = running
-    return returns
-
-
 def td_targets(
     rewards, next_values, dones, gamma: float = 0.99
 ) -> np.ndarray:

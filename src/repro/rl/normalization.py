@@ -134,89 +134,66 @@ class RewardScaler:
     discounted return and divide each reward by its running standard
     deviation.  Means are *not* subtracted (subtracting shifts the
     optimum).  Disable with ``enabled=False`` for the ablation.
+
+    Each of the ``n_envs`` collecting envs keeps its own return chain in
+    a fixed array, so rewards from different envs never mix.
     """
 
-    def __init__(self, gamma: float = 0.99, enabled: bool = True):
+    def __init__(self, gamma: float = 0.99, enabled: bool = True, n_envs: int = 1):
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
+        if n_envs <= 0:
+            raise ValueError("n_envs must be positive")
         self.gamma = float(gamma)
         self.enabled = bool(enabled)
         self.rms = RunningMeanStd(shape=())
-        self._ret = 0.0
-        #: Per-env discounted returns for vectorized collection; the
-        #: serial ``_ret`` chain must never mix rewards from different
-        #: envs, so each env id keeps its own accumulator.
-        self._ret_vec: Dict[int, float] = {}
+        #: Discounted return of each env's reward chain, zeroed on done.
+        self._ret = np.zeros(int(n_envs), dtype=np.float64)
         self.frozen = False
 
-    def __call__(self, reward: float, done: bool = False) -> float:
-        if not self.enabled:
-            return float(reward)
-        if not self.frozen:
-            self._ret = self.gamma * self._ret + float(reward)
-            self.rms.update(np.asarray([self._ret]))
-            if done:
-                self._ret = 0.0
-        return float(reward / (np.sqrt(self.rms.var) + 1e-8))
-
     def scale_batch(self, rewards, dones, env_ids) -> np.ndarray:
-        """Scale one reward per env, each through its own return chain.
+        """Scale one reward per env row, each through its own return chain.
 
-        A one-row batch follows the scalar path bit-for-bit (update the
-        running variance, then scale), so ``num_envs=1`` training is
-        identical to the serial loop.  A multi-row batch — one transition
-        per env, so every row belongs to a distinct return chain — folds
-        all of its returns into the running variance with a single
-        batched (Chan) update and scales every row by the post-update
-        std, matching how vectorized PPO implementations treat one
-        synchronous step.
+        Every row belongs to a distinct env, so the returns advance
+        elementwise (``gamma * ret + r``, then zero on done).  All of the
+        batch's returns fold into the running variance with one batched
+        (Chan) update, and every row is scaled by the post-update std —
+        how vectorized PPO implementations treat one synchronous step.
         """
-        rewards = np.asarray(rewards, dtype=np.float64).ravel()
-        dones = np.asarray(dones, dtype=bool).ravel()
-        env_ids = np.asarray(env_ids, dtype=np.intp).ravel()
-        if not (rewards.shape == dones.shape == env_ids.shape):
-            raise ValueError("rewards, dones and env_ids must share shape")
+        rewards = np.asarray(rewards, dtype=np.float64)
         if not self.enabled:
             return rewards.copy()
         if not self.frozen:
-            rets = np.empty_like(rewards)
-            for i in range(rewards.size):
-                e = int(env_ids[i])
-                ret = self.gamma * self._ret_vec.get(e, 0.0) + float(rewards[i])
-                rets[i] = ret
-                self._ret_vec[e] = 0.0 if dones[i] else ret
+            rets = self.gamma * self._ret[env_ids] + rewards
+            self._ret[env_ids] = np.where(dones, 0.0, rets)
             self.rms.update(rets)
         return rewards / (np.sqrt(self.rms.var) + 1e-8)
 
     def freeze(self) -> None:
         self.frozen = True
 
-    def reset_episode(self) -> None:
-        self._ret = 0.0
-        self._ret_vec.clear()
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         state = self.rms.state_dict()
         state["gamma"] = np.asarray(self.gamma)
         state["enabled"] = np.asarray(self.enabled)
-        state["ret"] = np.asarray(self._ret)
-        if self._ret_vec:
-            ids = sorted(self._ret_vec)
-            state["ret_vec_ids"] = np.asarray(ids, dtype=np.int64)
-            state["ret_vec_vals"] = np.asarray(
-                [self._ret_vec[i] for i in ids], dtype=np.float64
-            )
+        # One env keeps the scalar layout single-env checkpoints always had.
+        state["ret"] = np.asarray(self._ret[0]) if self._ret.size == 1 else self._ret.copy()
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         self.rms.load_state_dict({k: state[k] for k in ("mean", "var", "count")})
         self.gamma = float(np.asarray(state["gamma"]))
         self.enabled = bool(np.asarray(state["enabled"]))
-        # Older checkpoints predate the running-return field.
+        self._ret[:] = 0.0
+        # Older checkpoints predate the running-return field; a scalar
+        # ``ret`` is env 0's chain.
         if "ret" in state:
-            self._ret = float(np.asarray(state["ret"]))
-        self._ret_vec = {}
+            ret = np.asarray(state["ret"], dtype=np.float64).ravel()[: self._ret.size]
+            self._ret[: ret.size] = ret
+        # Older vectorized checkpoints keyed their chains by env id.
         if "ret_vec_ids" in state:
             ids = np.asarray(state["ret_vec_ids"]).ravel()
             vals = np.asarray(state["ret_vec_vals"]).ravel()
-            self._ret_vec = {int(i): float(v) for i, v in zip(ids, vals)}
+            for i, v in zip(ids, vals):
+                if i < self._ret.size:
+                    self._ret[i] = v

@@ -96,7 +96,7 @@ def grouped_bootstrap_values(buffer: RolloutBuffer, critic: Critic) -> Dict[int,
 
     For each env present in the buffer, the bootstrap is ``V(s')`` of its
     final stored transition (zero when that transition is terminal) —
-    exactly the ``last_value`` the serial trainer hands to
+    exactly the ``last_value`` a single-env buffer hands to
     :meth:`PPOUpdater.update`, computed per env.
     """
     n = len(buffer)

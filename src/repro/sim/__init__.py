@@ -10,7 +10,7 @@ deadlines, survivor-only aggregation, quorum retries) hook in here; both
 are strictly opt-in.
 """
 
-from repro.sim.cost import CostModel, iteration_cost, reward_from_cost
+from repro.sim.cost import CostModel
 from repro.sim.iteration import (
     IterationResult,
     simulate_iteration,
@@ -20,8 +20,6 @@ from repro.sim.system import FLSystem, SystemConfig
 
 __all__ = [
     "CostModel",
-    "iteration_cost",
-    "reward_from_cost",
     "IterationResult",
     "simulate_iteration",
     "upload_times_reference",

@@ -45,41 +45,3 @@ class CostModel:
     def reward(self, iteration_time_s: float, total_energy: float) -> float:
         """Eq. (13): the negated cost."""
         return -self.cost(iteration_time_s, total_energy)
-
-
-#: Interned (frozen, immutable) cost models keyed by their parameters so
-#: the per-iteration functional form does not rebuild + revalidate a
-#: dataclass on every call.  Bounded: distinct (lam, time_unit_s) pairs
-#: are configuration, not data, so the cache stays tiny in practice.
-_MODEL_CACHE: dict = {}
-_MODEL_CACHE_MAX = 128
-
-
-def iteration_cost(
-    iteration_time_s: float,
-    energies,
-    lam: float,
-    time_unit_s: float = 1.0,
-    model: "CostModel" = None,
-) -> float:
-    """Functional form of :meth:`CostModel.cost` for array energy input.
-
-    Pass ``model`` to skip the parameter lookup entirely (``lam`` /
-    ``time_unit_s`` are ignored then).  Otherwise a validated
-    :class:`CostModel` is built once per distinct ``(lam, time_unit_s)``
-    pair and reused — invalid parameters still raise on first use.
-    """
-    if model is None:
-        key = (float(lam), float(time_unit_s))
-        model = _MODEL_CACHE.get(key)
-        if model is None:
-            model = CostModel(lam=key[0], time_unit_s=key[1])
-            if len(_MODEL_CACHE) >= _MODEL_CACHE_MAX:
-                _MODEL_CACHE.clear()
-            _MODEL_CACHE[key] = model
-    return model.cost(iteration_time_s, float(np.sum(energies)))
-
-
-def reward_from_cost(cost: float) -> float:
-    """Eq. (13) given a precomputed cost."""
-    return -float(cost)

@@ -70,6 +70,11 @@ class RunningMeanStd:
             batch = batch[None]
         if batch.shape[1:] != self.shape:
             raise ValueError(f"batch shape {batch.shape[1:]} != stat shape {self.shape}")
+        if batch.shape[0] == 1:
+            # One sample: its mean is the row and its variance exactly 0,
+            # so the reductions below would only reproduce them.
+            self._update_from_moments(batch[0], 0.0, 1)
+            return
         b_mean = batch.mean(axis=0)
         b_var = batch.var(axis=0)
         b_count = batch.shape[0]

@@ -14,6 +14,7 @@ from repro.sim.cost import CostModel
 from repro.sim.system import FLSystem, SystemConfig
 from repro.traces.base import BandwidthTrace
 from repro.traces.synthetic import lte_walking_trace
+from repro.utils.serialization import load_npz_state, save_npz_state
 
 
 def small_env(seed=0, episode_length=8, n=2):
@@ -32,13 +33,59 @@ def small_env(seed=0, episode_length=8, n=2):
     return FLSchedulingEnv(system, EnvConfig(episode_length=episode_length), rng=seed)
 
 
-def small_trainer_config(n_episodes=4):
+def small_trainer_config(n_episodes=4, **kwargs):
     return TrainerConfig(
         n_episodes=n_episodes,
         hidden=(8,),
         buffer_size=16,
         ppo=PPOConfig(epochs=1, minibatch_size=8),
+        **kwargs,
     )
+
+
+def serial_reference(env, config, rng=0):
+    """Algorithm 1 one transition at a time, as a straight-line loop.
+
+    ``env.reset`` / ``agent.act`` / ``env.step`` / ``agent.observe`` per
+    step, the update-progress schedule per episode and the final freeze:
+    the semantics ``OfflineTrainer.train`` must reproduce through the
+    rollout collector.  Returns ``(history, agent)``.
+    """
+    agent = OfflineTrainer(env, config, rng=rng).agent
+    history = TrainingHistory()
+    for episode in range(config.n_episodes):
+        agent.updater.set_progress(episode / max(config.n_episodes - 1, 1))
+        obs = env.reset()
+        rows, done = [], False
+        while not done:
+            action, log_prob, value = agent.act(obs)
+            step = env.step(action)
+            stats = agent.observe(
+                obs, action, step.reward, step.observation, step.done,
+                log_prob, value,
+            )
+            if stats is not None:
+                history.record_update(stats)
+            info = step.info
+            rows.append((info["cost"], step.reward, info["iteration_time_s"],
+                         info["total_energy"]))
+            obs, done = step.observation, step.done
+        history.record_episode(*(float(np.mean(col)) for col in zip(*rows)))
+    agent.freeze()
+    return history, agent
+
+
+def assert_same_run(h_ref, agent_ref, h, agent):
+    """Histories and agent state dicts equal bit for bit."""
+    ref, got = h_ref.as_dict(), h.as_dict()
+    assert ref.keys() == got.keys()
+    for key in ref:
+        assert np.array_equal(ref[key], got[key]), key
+    s_ref, s_got = agent_ref.state_dict(), agent.state_dict()
+    assert s_ref.keys() == s_got.keys()
+    for key in s_ref:
+        a, b = np.asarray(s_ref[key]), np.asarray(s_got[key])
+        assert a.shape == b.shape and np.array_equal(a, b), key
 
 
 class TestTrainingHistory:
@@ -96,11 +143,72 @@ class TestTrainerConfig:
             TrainerConfig(buffer_size=0).validate()
 
 
+class TestSingleLoop:
+    """``train`` (the rollout collector) == the straight-line reference."""
+
+    @pytest.mark.parametrize(
+        "kwargs, n_episodes",
+        [
+            ({}, 6),
+            ({"algorithm": "a2c"}, 6),
+            # DDPG updates only after 256 warm-up steps (32 episodes).
+            ({"algorithm": "ddpg"}, 40),
+            ({"policy": "shared"}, 6),
+        ],
+        ids=["ppo", "a2c", "ddpg", "shared"],
+    )
+    def test_train_matches_serial_reference(self, kwargs, n_episodes):
+        config = small_trainer_config(n_episodes=n_episodes, **kwargs)
+        h_ref, agent_ref = serial_reference(small_env(), config, rng=0)
+        trainer = OfflineTrainer(
+            small_env(), small_trainer_config(n_episodes=n_episodes, **kwargs), rng=0
+        )
+        history = trainer.train()
+        assert history.n_updates > 0
+        assert_same_run(h_ref, agent_ref, history, trainer.agent)
+
+    def test_pre_change_checkpoint_resumes_bit_identically(self, tmp_path):
+        """A checkpoint in the older single-env layout — a scalar
+        ``agent/reward_scaler/ret`` and no ``rng/venv0`` — resumes and
+        trains exactly like the uninterrupted run."""
+        path = str(tmp_path / "t.npz.ckpt")
+
+        def make():
+            config = small_trainer_config(n_episodes=6, checkpoint_path=path)
+            return OfflineTrainer(small_env(), config, rng=0)
+
+        full = make()
+        h_full = full.train()
+        first = make()
+        first.train(stop=lambda: first._episode >= 3)
+        assert first.drained
+        state = load_npz_state(path)
+        legacy = {k: v for k, v in state.items() if not k.startswith("rng/venv")}
+        assert len(legacy) < len(state)
+        assert np.asarray(legacy["agent/reward_scaler/ret"]).shape == ()
+        assert len(legacy["buffer/states"]) and int(legacy["buffer/size"]) > 0
+        save_npz_state(path, legacy)
+        resumed = make()
+        assert resumed.resume(path) == 3
+        assert_same_run(h_full, full.agent, resumed.train(), resumed.agent)
+
+    def test_given_env_is_env_zero(self):
+        """The trainer steps its own env object, not a reseeded copy."""
+        env = small_env()
+        trainer = OfflineTrainer(env, small_trainer_config(n_episodes=1), rng=0)
+        before = env.rng.bit_generator.state
+        trainer.train()
+        assert trainer.env is env
+        assert env.rng.bit_generator.state != before
+
+
 class TestOfflineTrainer:
     def test_episode_summary(self):
         env = small_env()
-        trainer = OfflineTrainer(env, small_trainer_config(), rng=0)
-        summary = trainer.run_episode()
+        trainer = OfflineTrainer(env, small_trainer_config(n_episodes=1), rng=0)
+        seen = []
+        trainer.train(progress_callback=lambda ep, s: seen.append(s))
+        (summary,) = seen
         assert summary["episode_len"] == 8
         assert summary["avg_cost"] > 0
         assert summary["avg_reward"] == pytest.approx(-summary["avg_cost"], rel=1e-9)

@@ -1,5 +1,8 @@
 """Tests for online adaptation and observation-noise robustness."""
 
+import copy
+import types
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -71,6 +74,66 @@ class TestOnlineAdaptingAllocator:
         online.reset(system)
         frozen.reset(system)
         assert np.allclose(online.allocate(system), frozen.allocate(system))
+
+
+def scalar_act(agent, obs):
+    """``PPOAgent.act`` as a scalar body: one 1-D observation."""
+    norm_obs = agent.obs_norm(obs)
+    action, log_prob = agent.actor_old.act(norm_obs, rng=agent._sample_rng)
+    return action, log_prob, float(agent.critic.value(norm_obs)[0])
+
+
+def scalar_observe(agent, obs, action, reward, next_obs, done, log_prob, value):
+    """``PPOAgent.observe`` as a scalar body: env 0's float return chain."""
+    norm_obs = agent.obs_norm.normalize_frozen(obs)
+    norm_next = agent.obs_norm(next_obs)
+    scaler = agent.reward_scaler
+    scaled = float(reward)
+    if scaler.enabled:
+        if not scaler.frozen:
+            ret = scaler.gamma * float(scaler._ret[0]) + float(reward)
+            scaler.rms.update(np.asarray([ret]))
+            scaler._ret[0] = 0.0 if done else ret
+        scaled = float(reward / (np.sqrt(scaler.rms.var) + 1e-8))
+    agent.buffer.add(norm_obs, action, scaled, norm_next, done, log_prob, value)
+    agent.total_steps += 1
+    if not agent.buffer.full:
+        return None
+    last_value = 0.0 if done else float(agent.critic.value(norm_next)[0])
+    stats = agent.updater.update(agent.buffer, last_value=last_value)
+    agent.actor_old.copy_weights_from(agent.actor)
+    agent.buffer.clear()
+    agent.total_updates += 1
+    return stats
+
+
+class TestOneRowAgentCalls:
+    def test_adapting_frequencies_match_scalar_bodies(self, trained_agent):
+        """``act``/``observe`` as one-row batch calls leave the adapting
+        allocator's frequencies, and the agent it trains, unchanged."""
+
+        def run(agent):
+            system = build_system(SMALL, seed=0)
+            system.reset(50.0)
+            alloc = OnlineAdaptingAllocator(agent, adapt=True)
+            alloc.reset(system)
+            freqs = []
+            for _ in range(150):  # crosses one update (|D| = 128)
+                freqs.append(alloc.allocate(system))
+                system.step(freqs[-1])
+            return np.stack(freqs)
+
+        reference = copy.deepcopy(trained_agent)
+        reference.act = types.MethodType(scalar_act, reference)
+        reference.observe = types.MethodType(scalar_observe, reference)
+        agent = copy.deepcopy(trained_agent)
+        updates = agent.total_updates
+        assert np.array_equal(run(reference), run(agent))
+        assert agent.total_updates == updates + 1
+        ref_state, state = reference.state_dict(), agent.state_dict()
+        assert float(state["reward_scaler/ret"]) != 0.0
+        for key in ref_state:
+            assert np.array_equal(ref_state[key], state[key]), key
 
 
 class TestNoisyObservations:

@@ -189,6 +189,26 @@ class TestTrainingInstrumentation:
         ):
             assert key in e, key
 
+    def test_one_env_update_events_carry_wall_s(self):
+        """Every update of a one-env run is timed, so ``summarize`` shows
+        its ``update.<algorithm>`` phase row."""
+        from repro.obs.summarize import phase_table
+
+        spec = build_env_spec(tiny_preset(), seed=0)
+        tel = memory_telemetry()
+        trainer = OfflineTrainer(
+            spec.build(0),
+            TrainerConfig(n_episodes=6, hidden=(8,), buffer_size=16),
+            rng=0,
+        )
+        trainer.train()
+        updates = tel.sink.of_type("update")
+        assert len(updates) == trainer.agent.total_updates >= 2
+        assert all(e["wall_s"] > 0 for e in updates)
+        assert "update.ppo" in phase_table(tel.sink.records)
+        (batch, *_) = tel.sink.of_type("collector")
+        assert batch["n_envs"] == 1 and batch["steps"] == 6
+
     def test_collector_batch_event(self):
         spec = build_env_spec(tiny_preset(), seed=1)
         tel = memory_telemetry()

@@ -4,8 +4,8 @@ The contracts under test:
 
 * Serial and subprocess backends produce **bit-identical** trajectories
   for the same spec, for every worker count;
-* a 1-env vectorized ``OfflineTrainer`` matches the serial training path
-  exactly (same RNG/normalizer stream consumption);
+* a 1-env ``OfflineTrainer`` built from a spec matches the straight-line
+  serial Algorithm-1 loop exactly (same RNG/normalizer stream consumption);
 * a killed worker surfaces as :class:`WorkerCrashError` within the
   backend timeout instead of hanging;
 * checkpoint/resume of a vectorized run reproduces the uninterrupted
@@ -32,6 +32,7 @@ from repro.parallel import (
     make_vec_env,
 )
 from repro.utils.rng import env_stream
+from tests.test_core import assert_same_run, serial_reference
 
 
 def tiny_preset(n_devices: int = 2, episode_length: int = 6):
@@ -134,31 +135,25 @@ class TestBackendEquivalence:
 
 class TestTrainerEquivalence:
     def test_one_env_vectorized_matches_serial(self):
-        """num_envs=1 through the collector == the serial episode loop."""
+        """A spec-built one-env trainer == the straight-line serial loop."""
+        self._check_one_env_matches_serial(workers=0)
+
+    def test_one_env_in_worker_matches_serial(self):
+        """The same with the one env in a subprocess worker."""
+        self._check_one_env_matches_serial(workers=1)
+
+    @staticmethod
+    def _check_one_env_matches_serial(workers):
         spec = tiny_spec(seed=0)
 
-        serial = OfflineTrainer(
-            spec.build(0),
-            TrainerConfig(n_episodes=4, hidden=(8,), buffer_size=16),
-            rng=0,
-        )
-        h_serial = serial.train()
+        def config(workers=0):
+            return TrainerConfig(
+                n_episodes=4, hidden=(8,), buffer_size=16, workers=workers
+            )
 
-        vec = OfflineTrainer(
-            config=TrainerConfig(
-                n_episodes=4, hidden=(8,), buffer_size=16,
-                num_envs=1, vectorize=True,
-            ),
-            rng=0,
-            env_spec=spec,
-        )
-        h_vec = vec.train()
-
-        assert np.array_equal(h_serial.episode_costs, h_vec.episode_costs)
-        assert np.array_equal(h_serial.episode_rewards, h_vec.episode_rewards)
-        s, v = serial.agent.state_dict(), vec.agent.state_dict()
-        for key in s:
-            assert np.array_equal(np.asarray(s[key]), np.asarray(v[key])), key
+        h_ref, agent_ref = serial_reference(spec.build(0), config(), rng=0)
+        trainer = OfflineTrainer(config=config(workers), rng=0, env_spec=spec)
+        assert_same_run(h_ref, agent_ref, trainer.train(), trainer.agent)
 
     def test_multi_env_worker_count_invariance(self):
         """Training output is identical for serial and subproc backends."""

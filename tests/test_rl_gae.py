@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rl.gae import compute_gae, compute_returns, normalize_advantages, td_targets
+from repro.rl.gae import compute_gae, normalize_advantages, td_targets
 
 
 class TestComputeGae:
@@ -70,24 +70,6 @@ class TestComputeGae:
         adv, ret = compute_gae(rewards, values, dones, float(rng.standard_normal()), gamma, lam)
         assert np.allclose(ret, adv + values)
         assert np.all(np.isfinite(adv))
-
-
-class TestReturns:
-    def test_simple_discounting(self):
-        ret = compute_returns([1.0, 1.0, 1.0], [False, False, True], 0.0, gamma=0.5)
-        assert np.allclose(ret, [1.75, 1.5, 1.0])
-
-    def test_bootstrap_applied(self):
-        ret = compute_returns([0.0], [False], last_value=4.0, gamma=0.5)
-        assert ret[0] == pytest.approx(2.0)
-
-    def test_done_resets(self):
-        ret = compute_returns([1.0, 1.0], [True, False], last_value=100.0, gamma=1.0)
-        assert ret[0] == pytest.approx(1.0 + 0.0)  # blocked by done at t=0? no:
-        # done[0]=True resets *incoming* future, so ret[0] = 1 + gamma*0... verify:
-        # scan: t=1: done False -> running = 1 + 1*100 = 101; t=0: done True -> running reset then 1
-        assert ret[1] == pytest.approx(101.0)
-        assert ret[0] == pytest.approx(1.0)
 
 
 class TestTdTargets:

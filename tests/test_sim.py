@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.devices.device import DeviceParams, MobileDevice
 from repro.devices.fleet import DeviceFleet
-from repro.sim.cost import CostModel, iteration_cost, reward_from_cost
+from repro.sim.cost import CostModel
 from repro.sim.iteration import simulate_iteration
 from repro.sim.system import FLSystem, SystemConfig
 from repro.traces.base import BandwidthTrace
@@ -41,33 +41,6 @@ class TestCostModel:
             CostModel(lam=-0.1)
         with pytest.raises(ValueError):
             CostModel(time_unit_s=0.0)
-
-    def test_iteration_cost_function(self):
-        assert iteration_cost(10.0, [1.0, 2.0], lam=0.1, time_unit_s=1.0) == pytest.approx(10.3)
-
-    def test_reward_from_cost(self):
-        assert reward_from_cost(7.0) == -7.0
-
-    def test_iteration_cost_validation_survives_caching(self):
-        # iteration_cost caches validated CostModel instances per
-        # (lam, time_unit_s); invalid parameters must still raise on
-        # every call, including repeats that could hit a cache.
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                iteration_cost(1.0, [0.0], lam=-1.0)
-            with pytest.raises(ValueError):
-                iteration_cost(1.0, [0.0], lam=0.1, time_unit_s=0.0)
-
-    def test_iteration_cost_repeat_calls_identical(self):
-        first = iteration_cost(10.0, [1.0, 2.0], lam=0.1, time_unit_s=1.0)
-        for _ in range(3):
-            assert iteration_cost(10.0, [1.0, 2.0], lam=0.1, time_unit_s=1.0) == first
-
-    def test_iteration_cost_explicit_model_wins(self):
-        cm = CostModel(lam=1.0, time_unit_s=2.0)
-        # lam/time_unit_s kwargs are ignored when a model is supplied
-        got = iteration_cost(10.0, [4.0], lam=0.0, model=cm)
-        assert got == pytest.approx(cm.cost(10.0, 4.0))
 
 
 class TestSimulateIteration:
